@@ -153,17 +153,10 @@ class RelationalExecutor(Engine):
 
     # -- scans ---------------------------------------------------------------------- #
 
-    def _referenced_columns(self, bound: BoundQuery, binding: str) -> int:
-        keys = {
-            column.column for column in bound.resolution.values()
-            if column.binding == binding
-        }
-        return max(len(keys), 1)
-
     def _run_scan(self, node: Scan, bound: BoundQuery,
                   breakdown: TimingBreakdown) -> OpOutput:
         table = bound.binding(node.binding).table
-        ncols = self._referenced_columns(bound, node.binding)
+        ncols = max(len(bound.referenced_columns(node.binding)), 1)
         for stage, seconds in self.cost_model.load_table(
             table.num_rows * ncols * 8.0
         ):

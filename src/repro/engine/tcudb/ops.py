@@ -51,7 +51,6 @@ from repro.engine.tcudb.cost import (
     OperatorGeometry,
     Strategy,
     estimate_fold_chain,
-    estimate_fold_step,
     estimate_mask_apply,
     estimate_physical_stage,
 )
@@ -151,10 +150,12 @@ class FactValue:
         return Environment(arrays, self.env.n_rows)
 
     def filtered(self, mask: np.ndarray) -> "FactValue":
+        rows = np.flatnonzero(mask)
         return FactValue(
-            env=self.env.filtered(mask),
-            weights=self.weights[mask],
-            gathered={k: np.asarray(v)[mask] for k, v in self.gathered.items()},
+            env=self.env.taken(rows),
+            weights=self.weights.take(rows),
+            gathered={k: np.asarray(v).take(rows)
+                      for k, v in self.gathered.items()},
         )
 
 
@@ -302,7 +303,10 @@ class TableSource(TensorOp):
     chunks and *prunes* chunks whose per-chunk min/max statistics prove
     the filters empty — pruned chunks are never touched and never
     charged, so selective filters over clustered columns get cheaper
-    with data layout, as a real columnar scan would.
+    with data layout, as a real columnar scan would.  Only the columns
+    the query references (``BoundQuery.referenced_columns``, the set the
+    cost model charges for loading) are materialized, so every later
+    refilter copies those columns alone.
     """
 
     binding: str
@@ -322,25 +326,28 @@ class TableSource(TensorOp):
 
     def execute(self, ctx) -> RelationValue:
         filters = ctx.bound.filters.get(self.binding, [])
+        columns = ctx.bound.referenced_columns(self.binding)
         if not filters:
             return RelationValue(
-                env=Environment.from_table(ctx.bound, self.binding)
+                env=Environment.from_table(ctx.bound, self.binding, columns)
             )
         if ctx.chunk_rows is None:
-            env = Environment.from_table(ctx.bound, self.binding)
+            env = Environment.from_table(ctx.bound, self.binding, columns)
             ctx.charge(self, STAGE_FILL,
                        env.n_rows * ctx.host.scan_elem_s * len(filters))
             return RelationValue(
                 env=env.filtered(conjunction_mask(filters, env, ctx.bound))
             )
-        return RelationValue(env=self._scan_chunked(ctx, filters))
+        return RelationValue(env=self._scan_chunked(ctx, filters, columns))
 
-    def _scan_chunked(self, ctx, filters) -> Environment:
+    def _scan_chunked(self, ctx, filters, columns) -> Environment:
         binding = self.binding
         table = ctx.bound.binding(binding).table
         kept, chunked, name_of = pruned_scan_chunks(
             ctx.bound, binding, filters, ctx.chunk_rows
         )
+        name_of = {lower: name for lower, name in name_of.items()
+                   if lower in columns}
         scanned = sum(chunk.num_rows for chunk in kept)
         ctx.charge(self, STAGE_FILL,
                    scanned * ctx.host.scan_elem_s * len(filters))
@@ -372,7 +379,7 @@ class TableSource(TensorOp):
             n_rows = int(next(iter(arrays.values())).size) if arrays else 0
             return Environment(arrays, n_rows)
         if len(kept) == chunked.num_chunks:
-            env = Environment.from_table(ctx.bound, binding)
+            env = Environment.from_table(ctx.bound, binding, columns)
         elif kept:
             env = Environment(
                 {
@@ -468,80 +475,7 @@ class FoldJoin(TensorOp):
         )
 
     def execute(self, ctx) -> FactValue:
-        fact = ctx.value(self.fact_input)
-        if isinstance(fact, RelationValue):
-            fact = FactValue(env=fact.env,
-                             weights=np.ones(fact.env.n_rows), gathered={})
-        dim_env = ctx.value(self.dim_input).env
-        dim_keys = dim_env.lookup(self.dim_column.key)
-        fact_keys = fact.column(self.fact_column.key)
-        # Chained-join step: matrix fill + product + nonzero() conversion
-        # of the intermediate back to tuples.
-        ctx.charge(
-            self, STAGE_FILL,
-            estimate_fold_step(ctx.host, ctx.device, fact_keys.size,
-                               dim_keys.size, CHAINED_JOIN_FILL_S),
-        )
-        unique_keys = np.unique(dim_keys)
-        if unique_keys.size == 0:
-            # Filtered dimension is empty: the join eliminates every
-            # fact row.
-            empty = np.zeros(fact.env.n_rows, dtype=bool)
-            folded = fact.filtered(empty)
-            for key in self.needed:
-                folded.gathered[key] = np.array([], dtype=np.int64)
-            return folded
-        is_unique = unique_keys.size == dim_keys.size
-        if self.needed and not is_unique:
-            raise FallbackRequired(
-                f"dimension {self.dim_binding} has duplicate join keys but "
-                "contributes group/factor columns",
-                kind="pattern",
-            )
-        positions, matched = self._probe_chunked(ctx, unique_keys, fact_keys)
-        weights = fact.weights
-        gathered = dict(fact.gathered)
-        if is_unique:
-            row_of = np.argsort(dim_keys, kind="stable")
-            dim_rows = ctx.backend.gather(
-                row_of, np.clip(positions, 0, max(dim_keys.size - 1, 0)))
-            for key in self.needed:
-                gathered[key] = ctx.backend.gather(dim_env.lookup(key),
-                                                   dim_rows)
-        else:
-            counts = ctx.backend.bincount(
-                np.searchsorted(unique_keys, dim_keys),
-                minlength=max(unique_keys.size, 1),
-            )
-            multiplicity = np.where(matched, counts[positions], 0)
-            weights = weights * multiplicity
-        folded = FactValue(env=fact.env, weights=weights, gathered=gathered)
-        if not matched.all():
-            folded = folded.filtered(matched)
-        return folded
-
-    @staticmethod
-    def _probe_chunked(ctx, unique_keys: np.ndarray, fact_keys: np.ndarray):
-        """Probe the fold's sorted key domain one fact chunk at a time.
-
-        Chunk-at-a-time probing bounds the per-step temporaries to the
-        chunk size (the morsel contract); concatenating the per-chunk
-        results is bit-identical to the whole-side probe.
-        """
-        chunk = ctx.chunk_rows or max(int(fact_keys.size), 1)
-        positions_parts: list[np.ndarray] = []
-        matched_parts: list[np.ndarray] = []
-        for start in range(0, int(fact_keys.size), chunk):
-            part = fact_keys[start:start + chunk]
-            positions = np.searchsorted(unique_keys, part)
-            positions = np.clip(positions, 0, max(unique_keys.size - 1, 0))
-            positions_parts.append(positions)
-            matched_parts.append(unique_keys[positions] == part)
-        if not positions_parts:
-            empty = np.array([], dtype=np.int64)
-            return empty, np.array([], dtype=bool)
-        return (np.concatenate(positions_parts),
-                np.concatenate(matched_parts))
+        return _run_folds(ctx, self, [self])
 
 
 @dataclass(frozen=True)
@@ -561,7 +495,7 @@ class FoldJoinChain(TensorOp):
     """Fold a run of consecutive dimensions in one gather pass.
 
     The fusion pass collapses back-to-back :class:`FoldJoin` steps into
-    this op: every step probes the *original* fact rows (searchsorted is
+    this op: every step probes the *original* fact rows (the probe is
     per-row, so probing unfiltered rows then masking is bit-identical to
     the step-at-a-time refilter), survivorship accumulates in one
     combined mask, and each needed dimension column is gathered exactly
@@ -606,75 +540,199 @@ class FoldJoinChain(TensorOp):
         )
 
     def execute(self, ctx) -> FactValue:
-        fact = ctx.value(self.fact_input)
-        if isinstance(fact, RelationValue):
-            fact = FactValue(env=fact.env,
-                             weights=np.ones(fact.env.n_rows), gathered={})
-        combined = np.ones(fact.env.n_rows, dtype=bool)
-        weights = fact.weights
-        # Deferred per-step gathers, executed once on the final
-        # survivors; kept in step order so the gathered-column layout
-        # matches the sequential fold chain exactly.
-        deferred: list[tuple] = []
-        step_sizes: list[tuple[int, int]] = []
-        for step in self.steps:
-            dim_env = ctx.value(step.dim_input).env
-            dim_keys = dim_env.lookup(step.dim_column.key)
-            fact_keys = fact.column(step.fact_column.key)
-            # Rows that would have survived into this step of the
-            # sequential chain — what its estimate would have charged.
-            step_sizes.append((int(combined.sum()), int(dim_keys.size)))
-            unique_keys = np.unique(dim_keys)
-            if unique_keys.size == 0:
-                # Empty dimension: the join eliminates every fact row
-                # (later steps still execute on the empty survivor set,
-                # exactly like the sequential ops would).
-                combined[:] = False
-                deferred.append(("empty", step.needed))
-                continue
-            is_unique = unique_keys.size == dim_keys.size
-            if step.needed and not is_unique:
-                raise FallbackRequired(
-                    f"dimension {step.dim_binding} has duplicate join keys "
-                    "but contributes group/factor columns",
-                    kind="pattern",
-                )
-            positions, matched = FoldJoin._probe_chunked(
-                ctx, unique_keys, fact_keys)
-            if is_unique:
-                row_of = np.argsort(dim_keys, kind="stable")
-                dim_rows = ctx.backend.gather(
-                    row_of,
-                    np.clip(positions, 0, max(dim_keys.size - 1, 0)))
-                deferred.append(("gather", dim_env, dim_rows, step.needed))
-            else:
-                counts = ctx.backend.bincount(
-                    np.searchsorted(unique_keys, dim_keys),
-                    minlength=max(unique_keys.size, 1),
-                )
-                multiplicity = np.where(matched, counts[positions], 0)
-                weights = weights * multiplicity
-            combined &= matched
-        ctx.charge(
-            self, STAGE_FILL,
-            estimate_fold_chain(ctx.host, ctx.device, step_sizes,
-                                CHAINED_JOIN_FILL_S),
+        return _run_folds(ctx, self, self.steps)
+
+
+def _run_folds(ctx, op: TensorOp, steps) -> FactValue:
+    """Fold ``steps`` (:class:`FoldStep`-shaped) into ``op``'s fact input:
+    the one fold body behind :class:`FoldJoin` (a single step) and
+    :class:`FoldJoinChain` (a fused run).
+
+    A one-step run charges ``estimate_fold_chain`` over one step, which
+    is exactly ``estimate_fold_step`` — the plain fold's ledger entry.
+    """
+    fact = ctx.value(op.fact_input)
+    if isinstance(fact, RelationValue):
+        fact = FactValue(env=fact.env,
+                         weights=np.ones(fact.env.n_rows), gathered={})
+    combined = np.ones(fact.env.n_rows, dtype=bool)
+    weights = fact.weights
+    # Deferred per-step gathers, executed once on the final survivors;
+    # kept in step order so the gathered-column layout matches the
+    # sequential fold chain exactly.
+    deferred: list[tuple[Environment, np.ndarray | None, list[str]]] = []
+    step_sizes: list[tuple[int, int]] = []
+    for step in steps:
+        dim_env = ctx.value(step.dim_input).env
+        dim_keys = dim_env.lookup(step.dim_column.key)
+        # Rows that would have survived into this step of the sequential
+        # chain — what its estimate would have charged.
+        step_sizes.append((int(combined.sum()), int(dim_keys.size)))
+        probe = _probe_fold_step(ctx, step, dim_keys,
+                                 fact.column(step.fact_column.key))
+        if probe is None:
+            # Empty dimension: the join eliminates every fact row (later
+            # steps still execute on the empty survivor set, exactly
+            # like the sequential ops would).
+            combined[:] = False
+            deferred.append((dim_env, None, step.needed))
+            continue
+        matched, dim_rows, multiplicity = probe
+        if multiplicity is not None:
+            weights = weights * multiplicity
+        deferred.append((dim_env, dim_rows, step.needed))
+        combined &= matched
+    ctx.charge(
+        op, STAGE_FILL,
+        estimate_fold_chain(ctx.host, ctx.device, step_sizes,
+                            CHAINED_JOIN_FILL_S),
+    )
+    folded = FactValue(env=fact.env, weights=weights,
+                       gathered=dict(fact.gathered))
+    every_row = bool(combined.all())
+    if not every_row:
+        folded = folded.filtered(combined)
+    for dim_env, dim_rows, needed in deferred:
+        if dim_rows is not None and not every_row:
+            dim_rows = dim_rows[combined]
+        for key in needed:
+            folded.gathered[key] = (
+                np.array([], dtype=np.int64) if dim_rows is None
+                else ctx.backend.gather(dim_env.lookup(key), dim_rows)
+            )
+    return folded
+
+
+def _probe_fold_step(ctx, step, dim_keys: np.ndarray, fact_keys: np.ndarray):
+    """Probe one fold step's dimension keys with the fact keys.
+
+    ``None`` when the (filtered) dimension is empty; otherwise
+    ``(matched, dim_rows, multiplicity)`` per fact row.  Unique-key
+    dimensions give ``dim_rows`` (the dimension row each fact row
+    gathers from) and no multiplicity; duplicate-key dimensions, which
+    may not contribute columns, give the matched key's multiplicity
+    (0 when unmatched) and no rows.
+    """
+    unique_keys, first_row, counts = np.unique(
+        dim_keys, return_index=True, return_counts=True)
+    if unique_keys.size == 0:
+        return None
+    is_unique = unique_keys.size == dim_keys.size
+    if step.needed and not is_unique:
+        raise FallbackRequired(
+            f"dimension {step.dim_binding} has duplicate join keys but "
+            "contributes group/factor columns",
+            kind="pattern",
         )
-        folded = FactValue(env=fact.env, weights=weights,
-                           gathered=dict(fact.gathered))
-        if not combined.all():
-            folded = folded.filtered(combined)
-        for entry in deferred:
-            if entry[0] == "empty":
-                for key in entry[1]:
-                    folded.gathered[key] = np.array([], dtype=np.int64)
-                continue
-            _, dim_env, dim_rows, needed = entry
-            surviving_rows = dim_rows[combined]
-            for key in needed:
-                folded.gathered[key] = ctx.backend.gather(
-                    dim_env.lookup(key), surviving_rows)
-        return folded
+    positions, matched = probe_fold_keys(unique_keys, fact_keys,
+                                         ctx.chunk_rows)
+    if is_unique:
+        return matched, ctx.backend.gather(first_row, positions), None
+    return matched, None, np.where(matched, counts[positions], 0)
+
+
+#: Direct-address probe guard: a fold step probes by direct address only
+#: while its dimension's key span is at most this many slots per probed
+#: fact row, or DIRECT_PROBE_MIN_SPAN slots, whichever is larger — the
+#: ``rank_of`` table then stays linear in the input sizes.
+DIRECT_PROBE_SLOTS_PER_ROW = 4
+DIRECT_PROBE_MIN_SPAN = 1 << 16
+
+
+def direct_probe_bounds(unique_keys: np.ndarray,
+                        fact_keys: np.ndarray) -> tuple[int, int] | None:
+    """The ``(lo, hi)`` key range a fold step probes by direct address,
+    or ``None`` when it must fall back to a binary search.
+
+    Direct addressing needs integer keys on both sides (dictionary codes
+    included), a dimension range representable in the fact keys' dtype,
+    and a dense span (``DIRECT_PROBE_SLOTS_PER_ROW``).  The span is
+    computed in Python ints, so int64 extremes cannot overflow.
+    ``unique_keys`` is the sorted, deduplicated dimension key array.
+    """
+    if (unique_keys.size == 0 or unique_keys.dtype.kind not in "iu"
+            or fact_keys.dtype.kind not in "iu"):
+        return None
+    lo, hi = int(unique_keys[0]), int(unique_keys[-1])
+    limits = np.iinfo(fact_keys.dtype)
+    if lo < limits.min or hi > limits.max:
+        return None
+    span_limit = max(DIRECT_PROBE_SLOTS_PER_ROW * int(fact_keys.size),
+                     DIRECT_PROBE_MIN_SPAN)
+    return (lo, hi) if hi - lo + 1 <= span_limit else None
+
+
+def probe_fold_keys(unique_keys: np.ndarray, fact_keys: np.ndarray,
+                    chunk_rows: int | None = None):
+    """Look the fact keys up in a fold step's sorted unique dimension keys.
+
+    Returns ``(positions, matched)``: per fact row, whether its key
+    occurs in ``unique_keys`` and, on matched rows, the key's index
+    there (unmatched rows hold some valid index).  A dense integer domain
+    (:func:`direct_probe_bounds`) is probed by direct address — one
+    ``rank_of`` table per step, then a single clipped gather per chunk;
+    any other domain by binary search.
+
+    Chunk-at-a-time probing bounds the per-step temporaries to the chunk
+    size (the morsel contract); the per-chunk results fill one output
+    pair, bit-identical to a whole-side probe.
+    """
+    n_rows = int(fact_keys.size)
+    chunk = chunk_rows or max(n_rows, 1)
+    chunks = [slice(start, start + chunk) for start in range(0, n_rows, chunk)]
+    bounds = direct_probe_bounds(unique_keys, fact_keys)
+    if bounds is None:
+        positions = np.zeros(n_rows, dtype=np.intp)
+        matched = np.zeros(n_rows, dtype=bool)
+        if unique_keys.size:
+            for rows in chunks:
+                _sorted_probe(unique_keys, fact_keys[rows], positions[rows],
+                              matched[rows])
+        return positions, matched
+    lo, hi = bounds
+    # rank_of[key - lo + 1] is the key's rank, -1 where absent; the
+    # sentinel slots at both ends catch every out-of-range key.
+    shift = np.uint64((lo - 1) % 2**64)
+    rank_of = np.full(hi - lo + 3, -1, dtype=np.intp)
+    rank_of[_rank_slots(unique_keys, shift)] = np.arange(unique_keys.size)
+    positions = np.empty(n_rows, dtype=np.intp)
+    for rows in chunks:
+        rank_of.take(_rank_slots(fact_keys[rows], shift), mode="clip",
+                     out=positions[rows])
+    matched = positions >= 0
+    np.maximum(positions, 0, out=positions)
+    return positions, matched
+
+
+def _rank_slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """``keys - lo + 1`` (``shift`` is ``lo - 1`` modulo 2**64) in
+    wrap-around 64-bit arithmetic, read as int64.
+
+    Every ``lo`` the probe guard admits is representable in the keys'
+    dtype, so a key lies in ``[lo, hi]`` exactly when its slot lies in
+    ``[1, hi - lo + 1]``; any other key, however far outside, wraps to
+    slot 0, a negative slot or one past the span, which a clipped gather
+    maps onto a sentinel.
+    """
+    wide = keys.astype(np.uint64 if keys.dtype.kind == "u" else np.int64,
+                       copy=False)
+    return (wide.view(np.uint64) - shift).view(np.int64)
+
+
+def _sorted_probe(unique_keys, part, positions, matched) -> None:
+    fits = None
+    if (part.dtype.kind in "iu" and unique_keys.dtype.kind in "iu"
+            and np.result_type(part.dtype, unique_keys.dtype).kind == "f"):
+        # Mixed signed/unsigned 64-bit keys would meet in float64 and
+        # collide; keys outside the dimension's dtype can never match.
+        limits = np.iinfo(unique_keys.dtype)
+        fits = (part >= limits.min) & (part <= limits.max)
+        part = np.where(fits, part, 0).astype(unique_keys.dtype)
+    found = np.searchsorted(unique_keys, part)
+    np.minimum(found, unique_keys.size - 1, out=positions)
+    np.equal(unique_keys[positions], part, out=matched)
+    if fits is not None:
+        matched &= fits
 
 
 @dataclass
@@ -737,8 +795,8 @@ class IndicatorBuild(TensorOp):
             nnz_left = _comparison_nnz(domain, predicate.op, n)
             pairs = _pair_count(domain, predicate.op)
             raw_bytes = 8.0 * (
-                n * ctx.referenced_columns(inner.binding)
-                + m * ctx.referenced_columns(outer.binding)
+                n * max(len(ctx.bound.referenced_columns(inner.binding)), 1)
+                + m * max(len(ctx.bound.referenced_columns(outer.binding)), 1)
             )
         elif weights is not None:
             # Exact cardinality of the unmaterialized intermediate and of
@@ -1833,8 +1891,8 @@ def _agg_geometry(ctx, specs, left_side, right_side, k, pairs, fact,
     n = left_side.keys_mapped.size
     m = right_side.keys_mapped.size
     raw_bytes = 8.0 * (
-        n * ctx.referenced_columns(fact)
-        + m * ctx.referenced_columns(b_side)
+        n * max(len(ctx.bound.referenced_columns(fact)), 1)
+        + m * max(len(ctx.bound.referenced_columns(b_side)), 1)
     )
     value_specs = sum(1 for spec in specs if spec.func != "count")
     has_value_fill = any(spec.factors for spec in specs)

@@ -110,13 +110,6 @@ class ProgramContext:
 
         return get_backend(getattr(self.options, "backend", None))
 
-    def referenced_columns(self, binding: str) -> int:
-        return max(
-            len({c.column for c in self.bound.resolution.values()
-                 if c.binding == binding}),
-            1,
-        )
-
 
 @dataclass
 class TensorProgram:

@@ -110,6 +110,13 @@ class BoundQuery:
             raise BindError(f"unresolved column reference {ref}")
         return bound
 
+    def referenced_columns(self, binding: str) -> set[str]:
+        """Lowercase names of the ``binding`` columns the query references
+        anywhere: what a scan must materialize and the cost model charges
+        for loading."""
+        return {column.column for column in self.resolution.values()
+                if column.binding == binding}
+
     def column_stats(self, column: BoundColumn) -> ColumnStats:
         return self.binding(column.binding).table.stats(column.column)
 

@@ -37,11 +37,15 @@ class Environment:
         self.n_rows = n_rows
 
     @staticmethod
-    def from_table(bound_query: BoundQuery, binding: str) -> "Environment":
+    def from_table(bound_query: BoundQuery, binding: str,
+                   columns: set[str] | None = None) -> "Environment":
+        """The binding's table columns (only ``columns``, lowercase
+        names, when given) as one environment."""
         table = bound_query.binding(binding).table
         arrays = {
             f"{binding}.{name.lower()}": table.column(name).data
             for name in table.column_names
+            if columns is None or name.lower() in columns
         }
         return Environment(arrays, table.num_rows)
 
@@ -52,14 +56,14 @@ class Environment:
         return array
 
     def filtered(self, mask: np.ndarray) -> "Environment":
-        return Environment(
-            {k: v[mask] for k, v in self.arrays.items()},
-            int(np.count_nonzero(mask)),
-        )
+        # One pass turns the mask into row indices; gathering each column
+        # by index is several times cheaper than boolean-masking it.
+        return self.taken(np.flatnonzero(mask))
 
     def taken(self, indices: np.ndarray) -> "Environment":
         return Environment(
-            {k: v[indices] for k, v in self.arrays.items()}, int(indices.size)
+            {k: v.take(indices, axis=0) for k, v in self.arrays.items()},
+            int(indices.size),
         )
 
 
